@@ -13,9 +13,8 @@ and mirrors the per-query node-value strategy (eager GEMV precompute for
 Two tests:
 
 * a budget sweep records queries/second for budgeted BC-Tree across
-  several budgets in both value strategies, against the per-query loop
-  (what the scheduled per-query dispatch runs per worker), asserting
-  bit-identity everywhere;
+  several budgets in both value strategies, against the loop of
+  ``search`` calls, asserting bit-identity everywhere;
 * the floor test pins a >= 1.5x single-process speedup for budgeted
   BC-Tree (``candidate_fraction=0.1``, the eager strategy the benchmarked
   figures use) on the 4k-point clustered surrogate with a 4096-query
@@ -24,6 +23,10 @@ Two tests:
 The lazy-ddot strategy (budget below the node count) amortizes only the
 frontier/leaf overhead — every center inner product must stay a per-query
 ddot for bit-identity — so its speedup is reported but not floored.
+
+The loop baseline is ``search``, which is now the same kernel on a block
+of one query, so the speedup is what whole blocks amortize over
+one-query blocks.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from repro import BCTree
 from repro.datasets import random_hyperplane_queries
 from repro.datasets.synthetic import clustered_gaussian
 from repro.engine.batch import uses_kernel_dispatch
+from repro.engine.budget import resolve_budget
 from repro.eval.reporting import print_and_save
 
 from conftest import (
@@ -87,8 +91,10 @@ def test_budgeted_kernel_sweep(results_dir):
             index, queries, K, 1, repeats=1, **budget
         )
         _assert_block_matches_sequential(batch, sequential)
-        resolved = index._resolve_budget(
-            budget.get("candidate_fraction"), budget.get("max_candidates")
+        resolved = resolve_budget(
+            budget.get("candidate_fraction"),
+            budget.get("max_candidates"),
+            index.num_points,
         )
         records.append(
             {

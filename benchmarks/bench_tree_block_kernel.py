@@ -13,16 +13,16 @@ Two tests:
 
 * the dataset sweep records queries/second for Ball-Tree, BC-Tree, and
   KD-Tree across the configured surrogates and ``n_jobs in {1, 2, 4}``,
-  against the per-query engine loop (``[index.search(q) for q in
-  queries]`` — the shape PR 1's batch path pooled);
+  against the loop ``[index.search(q) for q in queries]``;
 * a dedicated 4k-point clustered surrogate with a big query block
   (where batch traffic actually amortizes: leaf groups stay large all the
   way down) enforces the >= 2x single-process floor for BC-Tree and pins
   bit-identity of results *and* ``SearchStats`` against sequential search.
 
-The block kernel's gain is pure overhead amortization — every float it
-produces equals the per-query path's, so there is no accuracy (or even
-work-counter) trade-off anywhere in this table.
+The loop baseline is ``search``, which runs the same kernel on a block of
+one query.  So the speedup measured here is what whole blocks amortize
+over one-query blocks — interpreter and dispatch overhead — and every
+float and counter is the same on both sides.
 """
 
 from __future__ import annotations
@@ -126,10 +126,10 @@ def test_tree_block_kernel_throughput(benchmark, workloads, results_dir):
 
 
 def test_block_kernel_speedup_floor(results_dir):
-    """>= 2x single-process speedup over the per-query engine for BC-Tree.
+    """>= 2x single-process speedup over a ``search`` loop for BC-Tree.
 
-    The 4k-point clustered surrogate at ``d=20`` is the regime the
-    per-query engine's cost is almost entirely interpreter/dispatch
+    The 4k-point clustered surrogate at ``d=20`` is the regime where a
+    one-query search's cost is almost entirely interpreter/dispatch
     overhead (the leaf GEMVs at that dimension are a few microseconds per
     query), so the block kernel's amortization shows up undiluted.  The
     floor is asserted with ``n_jobs=1`` — no worker pool, one process —

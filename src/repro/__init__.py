@@ -25,9 +25,9 @@ The package exposes:
 * the hashing baselines the paper compares against (:class:`NHIndex`,
   :class:`FHIndex`),
 * the unified query-execution engine behind every index's ``search`` /
-  ``batch_search`` (:mod:`repro.engine` — one traversal implementation for
-  depth-first and best-first search, plus a parallel batched path whose
-  results are bit-identical to sequential search),
+  ``batch_search`` (:mod:`repro.engine` — one depth-first block traversal
+  kernel that answers a single query as a block of one, plus a parallel
+  batched path whose results are bit-identical to sequential search),
 * synthetic dataset surrogates and hyperplane query generators
   (:mod:`repro.datasets`),
 * an evaluation harness that regenerates every table and figure of the
@@ -60,7 +60,6 @@ search):
 
 from repro.core.ball_tree import BallTree
 from repro.core.bc_tree import BCTree
-from repro.core.best_first import BestFirstSearcher, best_first_search
 from repro.core.distances import (
     augment_points,
     normalize_query,
@@ -120,8 +119,6 @@ __all__ = [
     "BatchSearchResult",
     "TraversalEngine",
     "execute_batch",
-    "BestFirstSearcher",
-    "best_first_search",
     "BallTreeMIPS",
     "linear_mips",
     "DynamicP2HIndex",

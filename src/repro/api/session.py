@@ -266,7 +266,7 @@ class Searcher:
         Results and per-query/pooled stats are bit-identical to
         ``index.batch_search(queries, ...)`` with the same options — the
         session only removes the per-call pool spawn and index pickling.
-        ``k`` and per-search knobs (budget, ``block``, ``profile``,
+        ``k`` and per-search knobs (budget, ``profile``,
         family-specific kwargs) may be overridden per call;
         ``n_jobs``/``executor`` are fixed per session.
         """
@@ -274,7 +274,6 @@ class Searcher:
         options = self._call_options(k, overrides)
         if (
             options.executor == "thread"
-            and options.block
             and getattr(self.index, "_session_native_batch", False)
         ):
             # Composite indexes with their own vectorized batched path
@@ -301,7 +300,6 @@ class Searcher:
             options.k,
             n_jobs=self.workers,
             executor=options.executor,
-            block=options.block,
             pool=pool,
             **options.search_kwargs(),
         )

@@ -1,8 +1,7 @@
 """Core P2HNNS indexes: Ball-Tree, BC-Tree, linear scan, KD-Tree baseline.
 
 Besides the static paper indexes, the subpackage also provides the
-extensions built on the same tree machinery: best-first traversal
-(:mod:`repro.core.best_first`), maximum inner product search
+extensions built on the same tree machinery: maximum inner product search
 (:mod:`repro.core.mips`), an insert/delete-capable wrapper
 (:mod:`repro.core.dynamic`), and a sharded index
 (:mod:`repro.core.partitioned`).
@@ -10,7 +9,6 @@ extensions built on the same tree machinery: best-first traversal
 
 from repro.core.ball_tree import BallTree
 from repro.core.bc_tree import BCTree
-from repro.core.best_first import BestFirstSearcher, best_first_search
 from repro.core.distances import (
     augment_points,
     normalize_query,
@@ -37,8 +35,6 @@ __all__ = [
     "BranchPreference",
     "SearchResult",
     "SearchStats",
-    "BestFirstSearcher",
-    "best_first_search",
     "BallTreeMIPS",
     "linear_mips",
     "linear_mips_batch",

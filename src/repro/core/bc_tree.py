@@ -14,18 +14,16 @@ linear property of the centroid (Lemma 1); per-node center norms are
 precomputed at build time because the cone bound's query decomposition
 needs ``||c||`` on every leaf visit.
 
-Search is executed by the shared
-:class:`~repro.engine.traversal.TraversalEngine`, which evaluates all
-center inner products of a query in one vectorized pass and dispatches the
-BC leaf scan (Algorithm 5's ``ScanWithPruning``).  The engine keeps
-reporting the paper's logical inner-product cost: with Lemma 2's
-collaborative strategy (Theorem 5) one inner product per expanded node,
-without it two — which is what the ``collaborative_ip`` flag controls.
-Batches are answered by the block traversal kernel
-(:mod:`repro.engine.block`): whole query blocks descend the tree together
-with shared per-leaf bound evaluation, bit-identical — results and work
-counters — to per-query search (the sequential scan mode is the one
-configuration that stays per-query; see :meth:`_batch_kernel_veto`).
+Search is executed by the block traversal kernel
+(:mod:`repro.engine.block`), which evaluates all center inner products of
+a query in one vectorized pass and runs the BC leaf scan (Algorithm 5's
+``ScanWithPruning``) with the point-level bounds evaluated for the whole
+leaf at the threshold of leaf entry.  The kernel keeps reporting the
+paper's logical inner-product cost: with Lemma 2's collaborative strategy
+(Theorem 5) one inner product per expanded node, without it two — which is
+what the ``collaborative_ip`` flag controls.  ``search`` is a block of one
+query; batches descend the tree together with shared per-leaf bound
+evaluation, with the same results and work counters.
 
 The ablation variants of Figure 8 are exposed through the
 ``use_ball_bound`` / ``use_cone_bound`` constructor flags:
@@ -69,13 +67,6 @@ class BCTree(BallTree):
         right child's inner product (Theorem 5); enabled by default.  The
         engine computes all inner products in one vectorized pass either
         way, so the flag only changes the work counters, never the results.
-    scan_mode:
-        ``"vectorized"`` (default) evaluates the point-level bounds for the
-        whole leaf in NumPy batch operations using the pruning threshold at
-        leaf entry; ``"sequential"`` follows Algorithm 5 point by point and
-        tightens the threshold inside the leaf.  Both return identical
-        results; the sequential mode verifies slightly fewer candidates at a
-        much higher interpreter cost, and exists for fidelity tests.
     random_state, augment, normalize_queries:
         See :class:`~repro.core.ball_tree.BallTree`.
 
@@ -100,7 +91,6 @@ class BCTree(BallTree):
         use_ball_bound: bool = True,
         use_cone_bound: bool = True,
         collaborative_ip: bool = True,
-        scan_mode: str = "vectorized",
         random_state=None,
         augment: bool = True,
         normalize_queries: bool = True,
@@ -114,14 +104,9 @@ class BCTree(BallTree):
             normalize_queries=normalize_queries,
             storage=storage,
         )
-        if scan_mode not in ("vectorized", "sequential"):
-            raise ValueError(
-                f"scan_mode must be 'vectorized' or 'sequential', got {scan_mode!r}"
-            )
         self.use_ball_bound = bool(use_ball_bound)
         self.use_cone_bound = bool(use_cone_bound)
         self.collaborative_ip = bool(collaborative_ip)
-        self.scan_mode = scan_mode
         # Per-point leaf structures, aligned with the tree's ``perm`` order.
         self.point_radius: Optional[np.ndarray] = None
         self.point_cos: Optional[np.ndarray] = None
@@ -189,25 +174,4 @@ class BCTree(BallTree):
             self.use_ball_bound,
             self.use_cone_bound,
             self.collaborative_ip,
-            self.scan_mode,
         )
-
-    def _batch_kernel_veto(self, **search_kwargs) -> Optional[str]:
-        """Block-kernel coverage for BC-Tree search options.
-
-        In addition to Ball-Tree's exclusions (profiling, unknown options),
-        the sequential scan mode stays per-query on the exact path:
-        Algorithm 5's point-by-point leaf scan tightens the threshold
-        *inside* a leaf, which the block kernel's whole-leaf events cannot
-        reproduce.  The vectorized scan mode — with or without the
-        ball/cone bounds, the collaborative inner-product accounting, or a
-        candidate budget — is fully covered.  The fast mode
-        (``exact=False``) never evaluates point-level bounds, so the scan
-        mode is irrelevant there and the fast kernel covers both modes.
-        """
-        if search_kwargs.get("exact", True) and self.scan_mode == "sequential":
-            return (
-                "scan_mode='sequential' tightens the threshold inside each "
-                "leaf and must run per-query"
-            )
-        return super()._batch_kernel_veto(**search_kwargs)

@@ -153,8 +153,8 @@ def query_angle_terms_block(
     Every operation is the elementwise image of the scalar function —
     division, the radicand, and the guarded square root — so each row of
     the result is bit-identical to calling :func:`query_angle_terms` with
-    that query's scalars (the block traversal kernel relies on this to stay
-    bit-identical to per-query search).
+    that query's scalars (the block traversal kernel relies on this so a
+    query's answer does not depend on the block it runs in).
     """
     query_norms = np.asarray(query_norms, dtype=np.float64)
     if center_norm <= 0.0:
@@ -178,12 +178,13 @@ def cone_prune_mask_block(
     Row ``i`` of the returned boolean matrix marks the leaf points whose
     cone bound (Theorem 3) meets or exceeds ``thresholds[i]`` — the points
     the vectorized ``ScanWithPruning`` skips.  The case analysis matches
-    the per-query scan exactly (simplified for ``threshold > 0``): case 1,
-    ``cos(theta + phi)``, prunes only when ``q_cos > 0`` and ``x_cos > 0``;
-    case 2, ``-cos(theta - phi)``, prunes when it reaches the threshold
-    (and then rules case 1 out since ``cos_sum <= cos_diff``).  All
+    the kernel's one-query scan exactly (simplified for
+    ``threshold > 0``): case 1, ``cos(theta + phi)``, prunes only when
+    ``q_cos > 0`` and ``x_cos > 0``; case 2, ``-cos(theta - phi)``, prunes
+    when it reaches the threshold (and then rules case 1 out since
+    ``cos_sum <= cos_diff``).  All
     operations are elementwise, so each row is bit-identical to the
-    per-query evaluation.
+    one-query evaluation.
 
     Parameters
     ----------

@@ -20,18 +20,22 @@ The base class also owns the augmented data matrix, dimension checks,
 indexing-time bookkeeping, and the cached
 :class:`~repro.engine.traversal.TraversalEngine` for tree indexes, so
 concrete indexes only implement ``_build``, ``_search_one`` and (for tree
-indexes) ``_make_engine``.
+indexes) ``_make_engine``.  Tree indexes take ``_search_one`` and
+``_batch_kernel`` from :class:`BlockSearchMixin` and name their search
+options in ``_search_block``.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+import time
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.core.distances import augment_points, is_augmented, normalize_query
 from repro.core.results import SearchResult
 from repro.engine.batch import BatchSearchResult, execute_batch
+from repro.engine.block import attach_block_timing
 from repro.storage import StorageSpec
 from repro.utils.persistence import dump_index_payload, load_typed_index
 from repro.utils.timing import Timer
@@ -178,11 +182,12 @@ class P2HIndex:
 
         Notes
         -----
-        Indexes that expose a vectorized ``_batch_kernel`` (the hashing
-        baselines) are answered in whole-block kernel calls instead of
-        per-query dispatch; the engine chunks the block across the worker
-        pool, and results stay bit-identical for every ``n_jobs`` because
-        the kernels are per-row independent.
+        Indexes that expose a vectorized ``_batch_kernel`` (the tree
+        families and the hashing baselines) are answered in whole-block
+        kernel calls instead of per-query dispatch; the engine chunks the
+        block across the worker pool, and results stay bit-identical for
+        every ``n_jobs`` because a query's answer does not depend on the
+        block it runs in.
         """
         return execute_batch(
             self, queries, k, n_jobs=n_jobs, executor=executor, **kwargs
@@ -398,8 +403,8 @@ class LeafStoredPointsMixin:
     leaf-ordered copy (``points[tree.perm]``) is the *only* copy these
     indexes keep — stored under ``"points_leaf"`` in the index's array
     store.  The un-permuted matrix is reconstructed lazily by the
-    :attr:`~P2HIndex.points` property (used by the sequential-scan fidelity
-    paths, ``NodeView`` inspection, and composite rebuilds), never cached,
+    :attr:`~P2HIndex.points` property (used by ``NodeView`` inspection and
+    composite rebuilds), never cached,
     so a fitted tree index holds one ``(n, d)`` array resident instead of
     the historical two.
 
@@ -458,3 +463,78 @@ class LeafStoredPointsMixin:
         inverse = np.empty(perm.shape[0], dtype=np.int64)
         inverse[perm] = np.arange(perm.shape[0], dtype=np.int64)
         return np.asarray(leaf)[inverse]
+
+
+class BlockSearchMixin:
+    """Tree search through the engine's block kernels.
+
+    ``search`` is a block of one query and ``batch_search`` hands the
+    engine whole blocks (``_batch_kernel``); both go through
+    ``_search_block``, which each tree family defines with the search
+    options it accepts (an unknown option raises ``TypeError`` from that
+    signature) and which calls :meth:`_run_tree_kernel`.  The exact kernel's
+    answers and counters do not depend on the block
+    (:mod:`repro.engine.block`), so a batch equals a loop of ``search``.
+
+    Mix in *before* :class:`P2HIndex` so ``_search_one`` wins.
+    """
+
+    def _search_one(
+        self, query: np.ndarray, k: int, **options
+    ) -> SearchResult:
+        """Answer one normalized query as a block of one."""
+        return self._search_block(query[None, :], k, **options)[0]
+
+    def _batch_kernel(
+        self, queries: np.ndarray, k: int, **options
+    ) -> List[SearchResult]:
+        """Answer a pre-validated query block; the engine's batch entry point.
+
+        Normalizes the rows exactly as :meth:`P2HIndex.search` does, then
+        splits the block's wall time evenly across its results.
+        """
+        wall_tic = time.perf_counter()
+        matrix = self._prepare_query_matrix(queries)
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
+        k = min(int(k), self.num_points)
+        results = self._search_block(matrix, k, **options)
+        attach_block_timing(results, time.perf_counter() - wall_tic)
+        return results
+
+    def _run_tree_kernel(
+        self,
+        matrix: np.ndarray,
+        k: int,
+        budget: float,
+        *,
+        preference=None,
+        profile: bool = False,
+        exact: bool = True,
+        dtype: Optional[str] = None,
+    ) -> List[SearchResult]:
+        """Run the exact block kernel, or the fast kernel for ``exact=False``.
+
+        ``exact=False`` hands the block to the approximate fast-mode kernel
+        (:mod:`repro.engine.fast`) in the requested storage ``dtype``
+        (float32 by default) instead of the exact engine.
+        """
+        if exact:
+            if dtype is not None:
+                raise ValueError(
+                    "dtype selects the fast mode's storage precision and "
+                    "requires exact=False"
+                )
+            return self._engine().block_kernel().search_block(
+                matrix, k, preference=preference, budget=budget,
+                profile=profile,
+            )
+        if profile:
+            raise ValueError(
+                "profile=True requires the exact path (exact=True)"
+            )
+        # repro: allow[REP102] exact=False hand-off to the fast tier; the
+        # literal names its default storage dtype.
+        return self._engine().fast_kernel(dtype or "float32").search_block(
+            matrix, k, preference=preference, budget=budget
+        )

@@ -10,22 +10,24 @@ for the "why Ball-Tree?" design discussion.
 
 The tree uses the classic median split on the widest dimension and the same
 search API as the other indexes (branch-and-bound with a candidate budget).
-Traversal runs on the shared :class:`~repro.engine.traversal.TraversalEngine`
-(stack frontier, children ordered by the smaller box bound), which
-evaluates the box bound for every node in one vectorized pass per query.
+Search runs on the block traversal kernel (:mod:`repro.engine.block`;
+children ordered by the smaller box bound), which evaluates the box bound
+for every node in one vectorized pass per query.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.index_base import LeafStoredPointsMixin, P2HIndex
+from repro.core.index_base import (
+    BlockSearchMixin,
+    LeafStoredPointsMixin,
+    P2HIndex,
+)
 from repro.core.results import SearchResult
-from repro.engine.block import attach_block_timing
 from repro.engine.budget import resolve_budget
 from repro.engine.traversal import TraversalEngine
 from repro.utils.validation import check_positive_int
@@ -121,7 +123,7 @@ def build_kd_tree(points: np.ndarray, leaf_size: int) -> _KDArrays:
     )
 
 
-class KDTree(LeafStoredPointsMixin, P2HIndex):
+class KDTree(BlockSearchMixin, LeafStoredPointsMixin, P2HIndex):
     """KD-Tree with a box interval bound on ``|<x, q>|``.
 
     Parameters
@@ -168,97 +170,29 @@ class KDTree(LeafStoredPointsMixin, P2HIndex):
     def _make_engine(self) -> TraversalEngine:
         return TraversalEngine.for_kd_tree(self)
 
-    def _search_one(
+    def _search_block(
         self,
-        query: np.ndarray,
+        matrix: np.ndarray,
         k: int,
         *,
         candidate_fraction: Optional[float] = None,
         max_candidates: Optional[int] = None,
+        profile: bool = False,
         exact: bool = True,
         dtype: Optional[str] = None,
-        **kwargs,
-    ) -> SearchResult:
-        if kwargs:
-            unexpected = ", ".join(sorted(kwargs))
-            raise TypeError(f"KDTree.search got unexpected options: {unexpected}")
-        budget = resolve_budget(candidate_fraction, max_candidates, self.num_points)
-        if not exact:
-            # repro: allow[REP102] exact=False hand-off to the fast tier;
-            # the literal names its default storage dtype.
-            return self._engine().fast_kernel(dtype or "float32").search_block(
-                query[None, :], k, budget=budget
-            )[0]
-        if dtype is not None:
-            raise ValueError(
-                "dtype selects the fast mode's storage precision and "
-                "requires exact=False"
-            )
-        return self._engine().search(query, k, budget=budget, order="depth_first")
-
-    # ---------------------------------------------------------- batch kernel
-
-    def _batch_kernel_veto(
-        self,
-        candidate_fraction=None,
-        max_candidates=None,
-        exact: bool = True,
-        dtype=None,
-        **unknown,
-    ) -> Optional[str]:
-        """Why the block traversal kernel cannot cover these search options.
-
-        Candidate budgets are covered (the kernel replays the per-query
-        budget check before every pop, and the KD box bound's lazy per-node
-        evaluation is bit-identical to the vectorized pass, so no value
-        strategy split is needed); unknown options decline the kernel so
-        per-query ``search`` raises its usual ``TypeError``.
-        """
-        if unknown:
-            return "unknown search options: " + ", ".join(sorted(unknown))
-        return None
-
-    def _batch_kernel(
-        self,
-        queries: np.ndarray,
-        k: int,
-        *,
-        candidate_fraction=None,
-        max_candidates=None,
-        exact: bool = True,
-        dtype=None,
     ) -> List[SearchResult]:
-        """Answer a whole query block with the block traversal kernel.
+        """Box-bound branch-and-bound over every row of ``matrix``.
 
-        Dispatched only for options :meth:`_batch_kernel_veto` accepts;
-        the signature still names every supported option so explicitly
-        passing its default works exactly like per-query ``search``.
-        With ``exact=True`` (default) results and work counters are
-        bit-identical to per-query :meth:`search` (see
-        :mod:`repro.engine.block`), including under
-        ``candidate_fraction`` / ``max_candidates`` budgets; with
-        ``exact=False`` the block runs on the approximate fast GEMM
-        kernel (:mod:`repro.engine.fast`).
+        See :meth:`~repro.core.index_base.BlockSearchMixin._run_tree_kernel`
+        for ``profile``, ``exact`` and ``dtype``.
         """
-        wall_tic = time.perf_counter()
-        matrix = self._prepare_query_matrix(queries)
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        k = min(int(k), self.num_points)
-        budget = resolve_budget(
-            candidate_fraction, max_candidates, self.num_points
+        return self._run_tree_kernel(
+            matrix,
+            k,
+            resolve_budget(
+                candidate_fraction, max_candidates, self.num_points
+            ),
+            profile=profile,
+            exact=exact,
+            dtype=dtype,
         )
-        if exact:
-            if dtype is not None:
-                raise ValueError(
-                    "dtype selects the fast mode's storage precision and "
-                    "requires exact=False"
-                )
-            kernel = self._engine().block_kernel()
-        else:
-            # repro: allow[REP102] exact=False hand-off to the fast tier;
-            # the literal names its default storage dtype.
-            kernel = self._engine().fast_kernel(dtype or "float32")
-        results = kernel.search_block(matrix, k, budget=budget)
-        attach_block_timing(results, time.perf_counter() - wall_tic)
-        return results

@@ -1,16 +1,15 @@
 """Query-execution engine shared by every index in the library.
 
 This subpackage owns *how* queries are answered; the index classes under
-:mod:`repro.core` own *what* is indexed.  Three pieces:
+:mod:`repro.core` own *what* is indexed.  Four pieces:
 
-* :mod:`repro.engine.traversal` — :class:`TraversalEngine`, the single
-  branch-and-bound implementation behind Ball-Tree, BC-Tree and KD-Tree
-  search, expressing depth-first and best-first traversal over one frontier
-  abstraction (stack vs. heap).
-* :mod:`repro.engine.block` — :class:`BlockTraversalKernel`, the
-  multi-query block DFS that answers whole query blocks with one shared
-  tree walk, bit-identical (results and work counters) to per-query
-  traversal.
+* :mod:`repro.engine.traversal` — :class:`TraversalEngine`, the flat tree
+  geometry of one fitted Ball-Tree, BC-Tree or KD-Tree plus its cached
+  search kernels.
+* :mod:`repro.engine.block` — :class:`BlockTraversalKernel`, the one exact
+  tree executor: a multi-query block DFS whose answers and work counters
+  do not depend on the block a query runs in, so ``search`` is a block of
+  one.
 * :mod:`repro.engine.batch` — :func:`execute_batch` and
   :class:`BatchSearchResult`, the batched path behind every index's
   ``batch_search`` (vectorized schedule seeding, block/hashing kernel

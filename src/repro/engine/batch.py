@@ -2,41 +2,28 @@
 
 :func:`execute_batch` is the single batched path every index's
 ``batch_search`` routes through.  It validates the query matrix once,
-derives a load-balanced schedule for the whole batch from one
-``centers[:m] @ Q.T`` matmul (tree indexes), dispatches per-query
-traversals over a worker pool, and aggregates the per-query results into a
-:class:`BatchSearchResult` (a sequence of per-query
+dispatches the queries over a worker pool, and aggregates the per-query
+results into a :class:`BatchSearchResult` (a sequence of per-query
 :class:`~repro.core.results.SearchResult` plus pooled
 :class:`~repro.core.results.SearchStats` and wall/CPU timing).
 
 Indexes that expose a **vectorized batch kernel** — a ``_batch_kernel``
-method answering a whole query block in one call — are dispatched
-differently: instead of pooling per-query ``search`` calls, the engine
-splits the query matrix into one contiguous chunk per worker and hands each
-chunk to the kernel.  The kernels are per-row independent by contract, so
-the chunking cannot change any query's answer.  Two kernel families exist:
+method answering a whole query block in one call — are dispatched as
+blocks: the engine splits the query matrix into one contiguous chunk per
+worker and hands each chunk to the kernel.  Two kernel families exist:
 
+* the tree indexes (Ball-Tree, BC-Tree, KD-Tree, RP-Tree) push each
+  worker's block down the tree together through the block traversal
+  kernel (:mod:`repro.engine.block`) — exact, under a candidate budget, or
+  with ``profile=True`` — and through the fast kernel for ``exact=False``;
 * the hashing baselines (:mod:`repro.hashing.base`) probe and verify whole
-  query blocks with batched table lookups;
-* the tree indexes (Ball-Tree, BC-Tree, KD-Tree) push per-worker query
-  blocks down the tree together through the block traversal kernel
-  (:mod:`repro.engine.block`), which is bit-identical to per-query
-  traversal in both results and work counters.
+  query blocks with batched table lookups.
 
-A kernel index may additionally expose ``_batch_kernel_veto(**kwargs)``,
-returning a human-readable reason string (or None) to veto kernel dispatch
-for search options its kernel does not cover; the batch then runs the
-scheduled per-query path instead, and :func:`kernel_dispatch_reason`
-surfaces the reason so callers can report *why* a configuration fell back.
-The tree indexes use this for ``profile=True`` and BC-Tree's sequential
-scan mode, whose semantics are order-sensitive (see
-:mod:`repro.engine.block`).  Candidate budgets (``candidate_fraction`` /
-``max_candidates``) dispatch through the kernel: it carries a per-query
-verified-candidate count and retires exhausted queries exactly where the
-per-query loop breaks, so the paper's budgeted time–recall sweeps
-(Figures 5-6) run on the fast path too.  An index without a veto hook may
-instead expose a boolean ``_batch_kernel_supports(**kwargs)``; with
-neither, every option combination goes to its kernel.
+Every option a kernel's signature names is covered; an unknown option
+raises ``TypeError`` from that signature, as it would from ``search``.
+Indexes without a kernel (the linear scan, the composites, MIPS) run a
+scheduled per-query path: one ``search`` call per query, hardest queries
+first.
 
 Determinism contract
 --------------------
@@ -44,27 +31,26 @@ Determinism contract
 ``search`` once per query, for every index and every ``n_jobs`` — including
 under ``candidate_fraction`` / ``max_candidates`` budgets.  For per-query
 dispatch this holds because each worker runs exactly the per-query code
-path of ``search``; for kernel dispatch it holds because the sequential
-``search`` of those indexes delegates to the same kernel with a block of
-one query, and every kernel step is per-row independent.  Worker purity —
-a dispatched task callable never mutates ``self`` or globals (pool
-``initializer=`` excepted: planting per-process state is its job) — is
-enforced statically by ``repro check`` rule REP301.
+path of ``search``; for kernel dispatch it holds by **block-shape
+independence**: a query's answer and counters do not depend on which block
+it runs in, and ``search`` of those indexes is the same kernel on a block
+of one query.  Worker purity — a dispatched task callable never mutates
+``self`` or globals (pool ``initializer=`` excepted: planting per-process
+state is its job) — is enforced statically by ``repro check`` rule REP301.
 
-The batch-level seed matmul deliberately does *not* feed inner products
-into traversal: BLAS GEMM results are not bit-reproducible against the
-GEMV/dot kernels the per-query path uses (measured on this build of
-OpenBLAS: ``(C @ Q.T)[:, j]`` differs from ``C @ Q[j]`` in the last ulp,
-and is not even independent of the batch size).  An ulp-perturbed inner
-product can flip a branch-preference comparison or a bound-vs-threshold
-test, which under a candidate budget changes *which* candidates are
-verified — silently breaking the parity guarantee.  The seed matmul is
-therefore used where it cannot perturb results: estimating per-query
-difficulty (how weak the upper-level bounds are) so that hard queries are
-spread evenly across workers.  The batch kernels obey the same rule: any
-quantity that feeds candidate selection (query-table projections, hash
-codes) is computed with the per-query GEMV kernel, never a whole-block
-GEMM.
+The batch-level seed matmul of the per-query path deliberately does *not*
+feed inner products into traversal: BLAS GEMM results are not
+bit-reproducible against the GEMV/dot kernels a search uses (measured on
+this build of OpenBLAS: ``(C @ Q.T)[:, j]`` differs from ``C @ Q[j]`` in
+the last ulp, and is not even independent of the batch size).  An
+ulp-perturbed inner product can flip a branch-preference comparison or a
+bound-vs-threshold test, which under a candidate budget changes *which*
+candidates are verified — silently breaking the parity guarantee.  The
+seed matmul is therefore used where it cannot perturb results: estimating
+per-query difficulty so that hard queries are spread evenly across
+workers.  The batch kernels obey the same rule: any quantity that feeds
+candidate selection (node bounds, query-table projections, hash codes) is
+computed with the per-query GEMV kernel, never a whole-block GEMM.
 """
 
 from __future__ import annotations
@@ -190,8 +176,7 @@ def pool_results(
 def uses_kernel_dispatch(index, **search_kwargs) -> bool:
     """Whether :func:`execute_batch` will answer via a vectorized kernel.
 
-    True when the index exposes a ``_batch_kernel`` and (if present) its
-    veto/supports hook accepts the given search options; False means
+    True when the index exposes a ``_batch_kernel``; False means
     per-query dispatch over the worker pool.  Exposed so callers (the
     eval runner's batch experiment, benchmarks) can report which
     execution path a configuration actually measures.
@@ -200,43 +185,34 @@ def uses_kernel_dispatch(index, **search_kwargs) -> bool:
 
 
 def kernel_dispatch_reason(index, **search_kwargs) -> Optional[str]:
-    """Why :func:`execute_batch` will fall back to per-query dispatch.
+    """Why :func:`execute_batch` will run per-query dispatch, or None.
 
     Returns None when the batch will run through the index's vectorized
-    kernel, otherwise a human-readable reason — either the index has no
-    kernel at all, or its veto hook declined these search options.  A
-    silently-vetoed kwarg is otherwise indistinguishable from a kernel run
-    in throughput tables, so the ``run batch`` experiment prints this next
-    to the ``path`` column.
+    kernel, otherwise a human-readable reason; the ``run batch``
+    experiment prints it next to the ``path`` column.
     """
     if getattr(index, "_batch_kernel", None) is None:
         return "index has no vectorized batch kernel"
-    veto = getattr(index, "_batch_kernel_veto", None)
-    if veto is not None:
-        reason = veto(**search_kwargs)
-        return None if reason is None else str(reason)
-    supports = getattr(index, "_batch_kernel_supports", None)
-    if supports is None or supports(**search_kwargs):
-        return None
-    return "index vetoed kernel dispatch for these search options"
+    return None
 
 
 def kernel_dispatch_path(index, **search_kwargs) -> str:
     """Which execution path :func:`execute_batch` will take.
 
-    Returns ``"per-query"`` when the batch falls back to scheduled
-    per-query dispatch (:func:`kernel_dispatch_reason` says why),
-    ``"fast-gemm"`` when the options select the approximate fast-mode
-    kernel (``exact=False`` on a tree index — float32 storage plus
-    cross-query GEMM, :mod:`repro.engine.fast`), and ``"kernel"`` for
-    every other vectorized batch kernel (the exact block traversal kernel
-    and the hashing baselines' block kernels).
+    Returns ``"per-query"`` when the batch runs scheduled per-query
+    dispatch (:func:`kernel_dispatch_reason` says why), ``"fast-gemm"``
+    when the options select the approximate fast-mode kernel
+    (``exact=False`` on a tree index — float32 storage plus cross-query
+    GEMM, :mod:`repro.engine.fast`), and ``"kernel"`` for every other
+    vectorized batch kernel (the exact block traversal kernel and the
+    hashing baselines' block kernels).  Tree indexes are recognized by
+    the ``_run_tree_kernel`` method of
+    :class:`~repro.core.index_base.BlockSearchMixin`.
     """
     if kernel_dispatch_reason(index, **search_kwargs) is not None:
         return "per-query"
-    if (
-        not search_kwargs.get("exact", True)
-        and getattr(index, "_batch_kernel_veto", None) is not None
+    if not search_kwargs.get("exact", True) and hasattr(
+        index, "_run_tree_kernel"
     ):
         return "fast-gemm"
     return "kernel"
@@ -250,7 +226,6 @@ def execute_batch(
     n_jobs: Optional[int] = None,
     executor: str = "thread",
     search_fn: Optional[Callable[[np.ndarray], SearchResult]] = None,
-    block: bool = True,
     pool=None,
     **search_kwargs,
 ) -> BatchSearchResult:
@@ -276,16 +251,10 @@ def execute_batch(
         choice when per-query traversal is interpreter-bound and several
         cores are available; it requires ``search_fn`` to be None.
     search_fn:
-        Optional replacement for ``index.search`` (e.g. a best-first
-        searcher or MIPS mode); called as ``search_fn(query)`` and expected
-        to honor ``k``/``search_kwargs`` itself via closure.  Supplying it
-        disables the vectorized-kernel dispatch.
-    block:
-        If False, vectorized-kernel dispatch is skipped and the batch runs
-        the scheduled per-query path even for kernel-capable indexes
-        (results are identical either way; the flag exists for
-        benchmarking and for callers that need per-query ``search``
-        semantics such as ``TypeError`` on unknown options).
+        Optional replacement for ``index.search`` (e.g. MIPS mode); called
+        as ``search_fn(query)`` and expected to honor ``k``/``search_kwargs``
+        itself via closure.  Supplying it disables the vectorized-kernel
+        dispatch.
     pool:
         Optional already-running executor to dispatch on instead of
         spawning (and tearing down) a fresh one per call — the mechanism
@@ -305,14 +274,9 @@ def execute_batch(
         )
     n_jobs = 1 if n_jobs is None else check_positive_int(n_jobs, name="n_jobs")
     workers = min(n_jobs, os.cpu_count() or 1)
-    # Indexes whose kernel covers only part of their search-option space
-    # (the tree indexes: profiling and the sequential BC leaf scan are
-    # order-sensitive and stay per-query; budgets are kernel-covered) veto
-    # kernel dispatch via _batch_kernel_veto and keep the scheduled
-    # per-query path, which still benefits from difficulty scheduling.
     kernel = None
-    if search_fn is None and block and uses_kernel_dispatch(index, **search_kwargs):
-        kernel = index._batch_kernel
+    if search_fn is None:
+        kernel = getattr(index, "_batch_kernel", None)
     # The finiteness scan runs once here for the kernel path (kernels trust
     # the engine's validation); per-query dispatch re-validates every row
     # inside index.search, so scanning the matrix as well would be wasted.
@@ -400,7 +364,7 @@ def _execute_kernel_batch(
     """Dispatch a vectorized ``_batch_kernel`` over contiguous query chunks.
 
     Each worker answers one contiguous slice of the query matrix with a
-    single kernel call; the kernel's per-row independence guarantees the
+    single kernel call; block-shape independence guarantees the
     reassembled results equal a single whole-batch call (and sequential
     ``search``, which runs the same kernel on blocks of one).  When
     ``pool`` is given, the chunks are dispatched on that long-lived

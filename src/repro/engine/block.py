@@ -1,30 +1,34 @@
-"""Block-vectorized multi-query tree traversal kernel.
+"""Block-vectorized multi-query tree traversal kernel: the one exact executor.
 
 :class:`BlockTraversalKernel` answers a whole *block* of queries with one
-depth-first pass over the tree instead of one traversal per query.  The
+depth-first pass over the tree — the paper's branch-and-bound search
+(Algorithms 3 and 5) for Ball-Tree, BC-Tree, KD-Tree and RP-Tree.  The
 frontier holds ``(node, query-group)`` entries: a node is popped once per
 group, its lower bound is compared against every live query's pruning
 threshold in one vectorized operation, queries whose bound prunes the
 subtree are masked out, and a leaf is scanned for all surviving queries of
 the group in one batched event (shared 2-D ball-cut and cone-mask
-evaluation, one distance GEMV per surviving query).
+evaluation, one distance GEMV per surviving query).  ``search`` is a block
+of one query; ``batch_search`` hands each worker a contiguous block.
 
-Bit-identity contract
----------------------
-The kernel returns **bit-identical** results *and*
-:class:`~repro.core.results.SearchStats` work counters to running the
-per-query :meth:`TraversalEngine.search` once per query.  Two design rules
-make this hold exactly:
+Block-shape independence
+------------------------
+A query's answer **and** its :class:`~repro.core.results.SearchStats`
+work counters do not depend on which block it runs in — alone, with any
+other queries, in any internal sub-block or worker chunk.  That is why
+``batch_search`` equals a loop of ``search`` bit for bit, and why the
+serving coalescer and the cluster router may group requests freely.  Two
+design rules make this hold exactly:
 
 1. **No cross-query GEMM feeds any decision or result.**  BLAS GEMM results
-   differ from the GEMV kernel the per-query path uses in the last ulp (and
-   are not even batch-size independent — measured on this build of
-   OpenBLAS), so every center inner product is computed with the same
-   per-query ``centers @ q`` GEMV and every leaf distance with the same
-   ``points_leaf[start:start + cut] @ q`` slice GEMV as sequential search.
-   Cross-query vectorization is restricted to *elementwise* operations on
-   stacked per-query values (IEEE elementwise arithmetic is bit-deterministic
-   regardless of array shape) and to control flow.
+   differ from the GEMV kernel in the last ulp (and are not even
+   batch-size independent — measured on this build of OpenBLAS), so every
+   center inner product is computed with a per-query ``centers @ q`` GEMV
+   and every leaf distance with a per-query ``points_leaf[start:start +
+   cut] @ q`` slice GEMV.  Cross-query vectorization is restricted to
+   *elementwise* operations on stacked per-query values (IEEE elementwise
+   arithmetic is bit-deterministic regardless of array shape) and to
+   control flow.
 
 2. **Each query's node-visit order equals its solo DFS order.**  The
    pruning threshold evolves along the traversal, so visit order changes
@@ -40,54 +44,60 @@ make this hold exactly:
    descent (same arithmetic, list-based) where vectorization would cost
    more than it saves.
 
-Because the per-query work is identical, the speedup comes purely from
-amortizing interpreter and dispatch overhead: one frontier walk per group
-instead of per query, 2-D bound/cone masks shared across a leaf group, and
-a lean inlined top-k heap that replicates
-:meth:`~repro.core.results.TopKCollector.offer_batch` exactly (including
-its tie-breaking arrival order).
+Per query, every node's center inner product and lower bound come from
+one vectorized pass (a single ``centers @ q`` GEMV plus elementwise
+operations) instead of one scalar dot per visited node, so the
+``center_inner_products`` counter reports the paper's *logical* cost: one
+inner product for the root plus, per expanded node, one (with Lemma 2's
+collaborative derivation) or two (without) — Theorem 5's measurements.
 
-Scope
------
-The kernel covers depth-first search — exact *and* under a candidate
-budget — for Ball-Tree, BC-Tree (vectorized scan mode, with or without the
-collaborative inner-product accounting — the counter is logical either
-way), and KD-Tree.  ``profile=True``, BC-Tree's ``scan_mode="sequential"``,
-and best-first traversal have order-sensitive semantics of their own and
-fall back to per-query dispatch in :mod:`repro.engine.batch`.
+Because the per-query work is identical, the speedup of a block over a
+loop of one-query blocks comes purely from amortizing interpreter and
+dispatch overhead: one frontier walk per group instead of per query, 2-D
+bound/cone masks shared across a leaf group, and a lean inlined top-k heap
+that replicates :meth:`~repro.core.results.TopKCollector.offer_batch`
+exactly (including its tie-breaking arrival order).
 
 Candidate budgets
 -----------------
-The per-query path checks ``candidates_verified >= budget`` before every
-frontier pop and stops the whole traversal at the first failure — the leaf
-scan that crossed the budget is *not* truncated, so the counter may
-overshoot mid-leaf.  The kernel replays exactly that: a per-query verified
-count is carried next to the thresholds, every ``(node, query-group)`` pop
-first retires the members whose count has reached the budget (they stop
-accruing ``nodes_visited`` from that event on, exactly like the solo
-``break``), and leaf events still offer their full slice.  Because each
-query's event sequence equals its solo DFS (rule 2 above), the count seen
-at each pop equals the solo count at the same point, so the first-B
-candidate sequence — and with it every result and counter — is identical.
+Each query checks ``candidates_verified >= budget`` before every frontier
+pop and stops its whole traversal at the first failure — the leaf scan
+that crossed the budget is *not* truncated, so the counter may overshoot
+mid-leaf.  The kernel carries a per-query verified count next to the
+thresholds, every ``(node, query-group)`` pop first retires the members
+whose count has reached the budget (they stop accruing ``nodes_visited``
+from that event on), and leaf events still offer their full slice.
+Because each query's event sequence is its solo DFS (rule 2 above), the
+count seen at each pop — and with it every result and counter — does not
+depend on the block.
 
 One more arithmetic subtlety keeps the bits in line: for
-``budget < num_nodes`` the per-query path evaluates node inner products
-*lazily* with one ``centers[node] @ q`` dot per touched node, and on this
-BLAS build the ddot kernel is **not** bit-identical to the rows of the
-eager ``centers @ q`` GEMV (nor is a GEMV over a row slice identical to
-the same rows of the full GEMV — both measured).  The kernel therefore
-mirrors the per-query strategy rule exactly: eager GEMV precompute when
-``budget >= num_nodes``, per-``(node, query)`` lazy ddots (the same
-:class:`~repro.engine.traversal._LazyNodeValues` arithmetic) below it.
-KD-Tree has no center inner products and its lazy per-node box bound is
-bit-identical to the rows of the vectorized bound pass (elementwise
-products plus NumPy's shape-independent pairwise row sums), so the KD
-kernel keeps the eager precompute under every budget.
+``budget < num_nodes`` node inner products are evaluated *lazily* with one
+``centers[node] @ q`` dot per touched node
+(:meth:`~repro.engine.traversal.TraversalEngine._lazy_node_values`), and
+on this BLAS build the ddot kernel is **not** bit-identical to the rows of
+the eager ``centers @ q`` GEMV (nor is a GEMV over a row slice identical to
+the same rows of the full GEMV — both measured).  The strategy therefore
+depends only on ``(budget, tree)``, never on the block: eager GEMV
+precompute when ``budget >= num_nodes``, per-``(node, query)`` lazy ddots
+below it.  KD-Tree has no center inner products, so it keeps the eager
+box-bound precompute under every budget.
+
+Stage timers
+------------
+``profile=True`` times two stages with ``time.perf_counter`` (rule REP201
+sanctions it): ``lower_bounds`` — the node-bound precompute plus the leaf
+ball/cone evaluation — and ``verification`` — the leaf distance GEMVs.  A
+block's stage totals are split evenly across its queries, the rule
+:func:`attach_block_timing` applies to wall time, so a one-query block
+reports its own time.  The timers only read the clock; they change no
+answer and no counter.
 """
 
 from __future__ import annotations
 
 import heapq
+import time
 from typing import List
 
 import numpy as np
@@ -120,25 +130,17 @@ SCALAR_GROUP_CUTOFF = 6
 
 
 class BlockTraversalKernel:
-    """Multi-query DFS over one fitted :class:`TraversalEngine`.
+    """Multi-query DFS over one fitted
+    :class:`~repro.engine.traversal.TraversalEngine`.
 
-    Built (and cached) by :meth:`TraversalEngine.block_kernel`; holds only
-    references to the engine's arrays plus the static leaf geometry, so it
-    is cheap to construct and carries no per-query state.
+    Built by :meth:`TraversalEngine.block_kernel`; holds only a reference
+    to the engine, so it is cheap to construct and carries no per-query
+    state.
     """
 
     def __init__(self, engine) -> None:
         self._engine = engine
-        self._max_leaf = max(
-            (
-                end - start
-                for start, end, left in zip(
-                    engine._start, engine._end, engine._left
-                )
-                if left == NO_CHILD
-            ),
-            default=0,
-        )
+        self._max_leaf = engine.max_leaf
 
     # ------------------------------------------------------------------- API
 
@@ -149,6 +151,7 @@ class BlockTraversalKernel:
         *,
         preference=None,
         budget: float = _INF,
+        profile: bool = False,
     ) -> List[SearchResult]:
         """Answer every row of the already-normalized query ``matrix``.
 
@@ -163,17 +166,14 @@ class BlockTraversalKernel:
         budget:
             Per-query candidate budget from
             :func:`repro.engine.budget.resolve_budget` (``inf`` = exact
-            search).  Each query stops traversing — results and counters
-            bit-identical to per-query ``search`` with the same budget —
-            once its verified-candidate count reaches it.
+            search).  Each query stops traversing once its
+            verified-candidate count reaches it.
+        profile:
+            Record the ``lower_bounds`` and ``verification`` stage times
+            into every result's ``stats.stage_seconds`` (the block's totals
+            split evenly across its queries).
         """
         engine = self._engine
-        if engine._sequential_leaf_scan:
-            raise ValueError(
-                "the block kernel only supports the vectorized leaf scan; "
-                "sequential scan mode tightens thresholds inside a leaf and "
-                "must run per-query"
-            )
         preference = (
             engine.default_preference
             if preference is None
@@ -183,13 +183,20 @@ class BlockTraversalKernel:
         if num_queries == 0:
             return []
         block = max(1, min(BLOCK_QUERIES, self._block_queries()))
+        stage = [0.0, 0.0] if profile else None
         results: List[SearchResult] = []
         for start in range(0, num_queries, block):
             results.extend(
                 self._run_block(
-                    matrix[start: start + block], k, preference, budget
+                    matrix[start: start + block], k, preference, budget, stage
                 )
             )
+        if stage is not None:
+            for result in results:
+                result.stats.stage_seconds = {
+                    "lower_bounds": stage[0] / num_queries,
+                    "verification": stage[1] / num_queries,
+                }
         return results
 
     def _block_queries(self) -> int:
@@ -208,7 +215,7 @@ class BlockTraversalKernel:
 
     # ------------------------------------------------------------ block DFS
 
-    def _run_block(self, Q, k, preference, budget=_INF):
+    def _run_block(self, Q, k, preference, budget, stage):
         engine = self._engine
         num_nodes = engine.num_nodes
         B = Q.shape[0]
@@ -230,19 +237,22 @@ class BlockTraversalKernel:
             center_norms = engine._center_norms
 
         budgeted = budget != _INF
-        # Same strategy rule as TraversalEngine.search: under a tight budget
-        # the per-query path evaluates node inner products lazily with one
-        # ddot per touched node, and ddot is not bit-identical to the rows
-        # of the eager GEMV on this BLAS — so the kernel must follow suit.
-        # KD-Tree (no centers) keeps the eager precompute under any budget:
-        # its lazy per-node box bound is bit-identical to the rows of the
-        # vectorized pass (elementwise products + NumPy's shape-independent
-        # pairwise row sums).
+        # Stage timers (profile=True): [lower_bounds, verification] seconds
+        # accumulated into the caller's list; they only read the clock.
+        profile = stage is not None
+        perf_counter = time.perf_counter
+        if profile:
+            tic = perf_counter()
+        # Under a tight budget node inner products are evaluated lazily with
+        # one ddot per touched node.  The rule depends on (budget, tree)
+        # only, never on the block: ddot is not bit-identical to the rows of
+        # the eager GEMV on this BLAS.  KD-Tree (no centers) keeps the eager
+        # precompute under any budget.
         lazy_values = budgeted and budget < num_nodes and centers is not None
 
-        # -- per-query preparation: same GEMV / elementwise kernels as
-        # TraversalEngine.search, stacked into (B, nodes) matrices (eager
-        # strategy), or the same per-node ddot closures (lazy strategy).
+        # -- per-query preparation: one GEMV / elementwise pass per query,
+        # stacked into (B, nodes) matrices (eager strategy), or per-node
+        # ddot closures (lazy strategy).
         qn = np.empty(B)
         if centers is not None and not lazy_values:
             IPS = np.empty((B, num_nodes))
@@ -275,6 +285,8 @@ class BlockTraversalKernel:
                 AT = np.ascontiguousarray(ABS.T)
                 IPT = np.ascontiguousarray(IPS.T)
         qn_list = qn.tolist()
+        if profile:
+            stage[0] += perf_counter() - tic
 
         # -- per-query search state: an inlined TopKCollector (same heap,
         # same tie semantics) plus its threshold as a plain float / array.
@@ -310,9 +322,6 @@ class BlockTraversalKernel:
 
         if lazy_values:
             for q in range(B):
-                # The exact lazy closures TraversalEngine.search builds for
-                # budget < num_nodes — one shared construction site, so the
-                # two paths cannot drift apart arithmetically.
                 ips_q, bounds_q, keys_q = engine._lazy_node_values(
                     Q[q], qn_list[q], preference
                 )
@@ -337,9 +346,9 @@ class BlockTraversalKernel:
             ``base``.  Only the top-k cut, the stable ascending sort, and
             the per-candidate heap pushes — the exact arrival order
             ``offer_batch`` produces — remain.  The partition and sort run
-            on the same distance array (same values, same order) the
-            per-query path builds, so their selections are identical, and
-            the ``base`` gather is deferred to the at-most-k finalists.
+            on the query's own distance array (same values, same order in
+            any block), so their selections do not depend on the block,
+            and the ``base`` gather is deferred to the at-most-k finalists.
             """
             heap = heaps[q]
             if dm.shape[0] > k:
@@ -373,8 +382,8 @@ class BlockTraversalKernel:
 
             Used by the all-infinite-threshold leaf events, where every
             group member's candidate set is the *whole* row: the 2-D
-            partition/sort then runs on exactly the arrays the per-query
-            path would partition row by row, so the tie selection at the
+            partition/sort then runs on exactly the arrays a one-query
+            block would partition row by row, so the tie selection at the
             k-th value is identical, at one NumPy call for the whole group
             instead of several per member.
             """
@@ -413,8 +422,16 @@ class BlockTraversalKernel:
         # ------------------------------------------------- scalar leaf scans
 
         def scan_scalar_pruned(node, q, thr, qnorm, iprow, qrow):
-            """_scan_pruned for one query (same slices, same operations)."""
+            """Algorithm 5's ``ScanWithPruning`` for one query.
+
+            The leaf's points are sorted by descending ``r_x``, so the ball
+            bound is non-decreasing along the leaf and one ``searchsorted``
+            prunes the whole tail; the cone bound then filters the
+            survivors elementwise.
+            """
             nleaves[q] += 1
+            if profile:
+                tic = perf_counter()
             s = start_arr[node]
             e = end_arr[node]
             size = e - s
@@ -425,12 +442,28 @@ class BlockTraversalKernel:
                 if thr <= 0.0:
                     cut = 0
                 else:
+                    # max(|ip| - ||q|| r_x, 0) >= thr, with thr > 0, is
+                    # unaffected by the flooring at zero, so the unfloored
+                    # (ascending) bound array feeds searchsorted directly.
                     ball = abs_ip - qnorm * point_radius[s:e]
                     cut = int(ball.searchsorted(thr, side="left"))
                 pball[q] += size - cut
+            if profile:
+                toc = perf_counter()
+                stage[0] += toc - tic
             if cut == 0:
                 return thr
+            # One contiguous GEMV over the whole surviving prefix: points
+            # the cone bound prunes below get a distance for free inside the
+            # same BLAS call, and only survivors are offered and counted.
             distances = np.abs(points_leaf[s: s + cut] @ qrow)
+            if profile:
+                tic = perf_counter()
+                stage[1] += tic - toc
+            num_pruned = 0
+            # The cone bound costs a handful of vectorized operations per
+            # leaf; when only a few points survive the ball bound,
+            # verifying them directly is cheaper than evaluating it.
             if cut > 8 and use_cone and thr != _INF:
                 cn = center_norms[node]
                 if cn <= 0.0:
@@ -441,6 +474,10 @@ class BlockTraversalKernel:
                     q_sin = float(np.sqrt(radicand)) if radicand > 0.0 else 0.0
                 prod = q_cos * point_cos[s: s + cut]
                 scaled = q_sin * point_sin[s: s + cut]
+                # Theorem 3's case analysis, simplified for thr > 0: the
+                # case-1 bound cos(theta + phi) prunes when q_cos > 0,
+                # x_cos > 0 and cos_sum >= thr; the case-2 bound
+                # -cos(theta - phi) prunes when cos_diff <= -thr.
                 if q_cos > 0.0:
                     pruned = (
                         point_cos_pos[s: s + cut] & (prod - scaled >= thr)
@@ -448,20 +485,22 @@ class BlockTraversalKernel:
                 else:
                     pruned = prod + scaled <= -thr
                 num_pruned = int(np.count_nonzero(pruned))
-                if num_pruned:
-                    pcone[q] += int(num_pruned)
-                    m = cut - int(num_pruned)
-                    if m == 0:
-                        return thr
-                    cand[q] += m
-                    offer_mask = ~pruned
-                    offer_mask &= distances < thr
-                    pos = offer_mask.nonzero()[0]
-                    if pos.shape[0] == 0:
-                        return thr
-                    return offer_all(
-                        q, perm[s: s + cut], pos, distances.take(pos)
-                    )
+            if profile:
+                stage[0] += perf_counter() - tic
+            if num_pruned:
+                pcone[q] += num_pruned
+                m = cut - num_pruned
+                if m == 0:
+                    return thr
+                cand[q] += m
+                offer_mask = ~pruned
+                offer_mask &= distances < thr
+                pos = offer_mask.nonzero()[0]
+                if pos.shape[0] == 0:
+                    return thr
+                return offer_all(
+                    q, perm[s: s + cut], pos, distances.take(pos)
+                )
             cand[q] += cut
             if thr != _INF:
                 pos = (distances < thr).nonzero()[0]
@@ -473,12 +512,16 @@ class BlockTraversalKernel:
             return offer_all(q, perm[s: s + cut], None, distances)
 
         def scan_scalar_exhaustive(node, q, thr, qnorm, iprow, qrow):
-            """_scan_exhaustive for one query."""
+            """Algorithm 3's ``ExhaustiveScan`` for one query."""
             nleaves[q] += 1
             s = start_arr[node]
             e = end_arr[node]
             cand[q] += e - s
+            if profile:
+                tic = perf_counter()
             distances = np.abs(points_leaf[s:e] @ qrow)
+            if profile:
+                stage[1] += perf_counter() - tic
             if thr != _INF:
                 pos = (distances < thr).nonzero()[0]
                 if pos.shape[0] == 0:
@@ -514,9 +557,9 @@ class BlockTraversalKernel:
             push = stack.append
             pop = stack.pop
             while stack:
-                # same pre-pop budget check as _run_depth_first: the query
-                # stops dead (no visit counted) once its count reaches the
-                # budget, even when the last leaf scan overshot it
+                # pre-pop budget check: the query stops dead (no visit
+                # counted) once its count reaches the budget, even when the
+                # last leaf scan overshot it
                 if budgeted and verified >= budget:
                     break
                 nd = pop()
@@ -564,6 +607,8 @@ class BlockTraversalKernel:
             e = end_arr[node]
             size = e - s
             nleaves_arr[live] += 1
+            if profile:
+                tic = perf_counter()
             qn_g = qn.take(live)
             live_list = live.tolist()
             if all_inf:
@@ -584,6 +629,9 @@ class BlockTraversalKernel:
             else:
                 cuts = np.full(g, size, dtype=np.int64)
             maxcut = int(cuts.max())
+            if profile:
+                toc = perf_counter()
+                stage[0] += toc - tic
             if maxcut == 0:
                 return
             cuts_list = cuts.tolist()
@@ -596,6 +644,9 @@ class BlockTraversalKernel:
                         out=D[i, :cut],
                     )
             np.abs(D, out=D)
+            if profile:
+                tic = perf_counter()
+                stage[1] += tic - toc
 
             cone_applied = None
             cone_rows = None
@@ -629,6 +680,8 @@ class BlockTraversalKernel:
                     counted = np.where(cone_applied, cuts - num_pruned, cuts)
                 else:
                     cone_applied = None
+            if profile:
+                stage[0] += perf_counter() - tic
             cand_arr[live] += counted
             if budgeted:
                 VER[live] += counted
@@ -671,9 +724,13 @@ class BlockTraversalKernel:
                 return
             live_list = live.tolist()
             D = D2[:g, :size]
+            if profile:
+                tic = perf_counter()
             for i in range(g):
                 np.matmul(points_leaf[s:e], Q[live_list[i]], out=D[i])
             np.abs(D, out=D)
+            if profile:
+                stage[1] += perf_counter() - tic
             base = perm[s:e]
             if all_inf:
                 offer_rows_unfiltered(live_list, base, D, g, size)
@@ -694,8 +751,7 @@ class BlockTraversalKernel:
 
             A group mixes finite and infinite thresholds only around each
             query's first scanned leaf; the two subsets are independent, so
-            scanning them one after the other is exactly the per-query
-            semantics.
+            scanning them one after the other changes no query's answer.
             """
             thr_g = THR.take(live)
             finite = thr_g != _INF

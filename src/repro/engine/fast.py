@@ -98,16 +98,7 @@ class FastTreeKernel:
         # warm-start descent (the DFS proper reads the lists scalar-wise).
         self._left_np = np.asarray(engine._left, dtype=np.int64)
         self._right_np = np.asarray(engine._right, dtype=np.int64)
-        self._max_leaf = max(
-            (
-                end - start
-                for start, end, left in zip(
-                    engine._start, engine._end, engine._left
-                )
-                if left == NO_CHILD
-            ),
-            default=0,
-        )
+        self._max_leaf = engine.max_leaf
         points_leaf = self._arrays.points_leaf
         if points_leaf.shape[0]:
             self._max_point_norm = float(

@@ -542,11 +542,9 @@ def run_batch(config: ExperimentConfig) -> ExperimentOutput:
     the NH/FH hashing baselines (answered by the vectorized whole-batch
     hashing kernel) across worker-pool sizes.  The ``path`` column records
     which execution path the engine actually dispatched (``kernel``,
-    ``fast-gemm`` or ``per-query``) and ``why_per_query`` names the veto
-    that fired — a
-    silently-declined kwarg is otherwise indistinguishable from a kernel
-    run (the BC-Tree sequential-scan row demonstrates one).  Recall is a
-    sanity check (batched results are bit-identical to sequential search,
+    ``fast-gemm`` or ``per-query``) and ``why_per_query`` says why an
+    index runs per-query (the linear scan has no batch kernel).  Recall is
+    a sanity check (batched results are bit-identical to sequential search,
     so it always matches the sequential number).
     """
     from repro.engine.batch import kernel_dispatch_path, kernel_dispatch_reason
@@ -565,15 +563,6 @@ def run_batch(config: ExperimentConfig) -> ExperimentOutput:
         methods: Dict[str, Callable[[], object]] = {}
         methods.update(_tree_methods(config))
         tree_names.update(methods)
-        # One deliberately kernel-ineligible configuration, so the
-        # fallback-reason column is visible in the default output.
-        methods["BC-Tree-seq"] = lambda: build_index(
-            "bc_tree",
-            leaf_size=config.leaf_size,
-            random_state=config.seed,
-            scan_mode="sequential",
-        )
-        tree_names.add("BC-Tree-seq")
         methods["Linear"] = lambda: build_index("linear_scan")
         methods.update(_hash_methods(config, dim))
         for method, factory in methods.items():

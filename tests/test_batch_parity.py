@@ -23,7 +23,6 @@ from repro import (
     NHIndex,
     PartitionedP2HIndex,
 )
-from repro.core.best_first import BestFirstSearcher
 from repro.core.mips import BallTreeMIPS, linear_mips_batch
 from repro.engine.batch import BatchSearchResult
 from repro.hashing import AngularHyperplaneHash, MultilinearHyperplaneHash
@@ -57,9 +56,6 @@ def _index_factories(seed_data_dim):
     return {
         "ball": lambda: BallTree(leaf_size=40, random_state=0),
         "bc": lambda: BCTree(leaf_size=40, random_state=0),
-        "bc_sequential": lambda: BCTree(
-            leaf_size=40, random_state=0, scan_mode="sequential"
-        ),
         "kd": lambda: KDTree(leaf_size=40),
         "linear": lambda: LinearScan(),
         "nh": lambda: NHIndex(
@@ -98,8 +94,7 @@ def fitted_indexes(small_clustered_data):
 class TestBatchParity:
     @pytest.mark.parametrize(
         "name",
-        ["ball", "bc", "bc_sequential", "kd", "linear", "nh", "fh", "bh",
-         "mh", "ah", "eh"],
+        ["ball", "bc", "kd", "linear", "nh", "fh", "bh", "mh", "ah", "eh"],
     )
     def test_parallel_batch_matches_sequential(self, fitted_indexes,
                                                small_queries, name):
@@ -158,13 +153,6 @@ class TestBatchParity:
         index.delete(ids[:25])
         sequential = [index.search(q, k=K) for q in small_queries]
         batch = index.batch_search(small_queries, k=K, n_jobs=4)
-        _assert_bit_identical(batch, sequential)
-
-    def test_best_first_parity(self, small_clustered_data, small_queries):
-        tree = BCTree(leaf_size=40, random_state=0).fit(small_clustered_data)
-        searcher = BestFirstSearcher(tree)
-        sequential = [searcher.search(q, k=K) for q in small_queries]
-        batch = searcher.batch_search(small_queries, k=K, n_jobs=4)
         _assert_bit_identical(batch, sequential)
 
     def test_mips_parity(self, gaussian_blob, rng):
@@ -377,23 +365,6 @@ class TestTreeKernelParity:
         )
         self._assert_stats_equal(batch, sequential)
 
-    def test_unsupported_options_fall_back_to_per_query(
-            self, fitted_indexes, small_queries, monkeypatch):
-        """Profiling and the sequential scan must never reach the block
-        kernel — they are dispatched per query."""
-        from repro.engine.block import BlockTraversalKernel
-
-        def explode(self, *args, **kwargs):
-            raise AssertionError("block kernel used for unsupported options")
-
-        monkeypatch.setattr(BlockTraversalKernel, "search_block", explode)
-        index = fitted_indexes["bc"]
-        index.batch_search(small_queries, k=K, profile=True)
-        sequential_scan = fitted_indexes["bc_sequential"]
-        sequential_scan.batch_search(small_queries, k=K)
-        with pytest.raises(AssertionError, match="block kernel used"):
-            index.batch_search(small_queries, k=K)
-
     def test_supported_options_use_the_kernel(self, fitted_indexes,
                                               small_queries, monkeypatch):
         """Default exact AND budgeted batches go through the block kernel."""
@@ -446,18 +417,15 @@ class TestTreeKernelParity:
         self._assert_stats_equal(batch, sequential)
 
     def test_kernel_dispatch_reason(self, fitted_indexes):
-        """The fallback reason names the veto that fired (None = kernel)."""
+        """Only an index without a batch kernel runs per query (None =
+        kernel); every tree option, profiling included, is kernel-run."""
         from repro.engine.batch import kernel_dispatch_reason
 
         bc = fitted_indexes["bc"]
         assert kernel_dispatch_reason(bc) is None
         assert kernel_dispatch_reason(bc, candidate_fraction=0.1) is None
         assert kernel_dispatch_reason(bc, max_candidates=5) is None
-        assert "profile" in kernel_dispatch_reason(bc, profile=True)
-        assert "sequential" in kernel_dispatch_reason(
-            fitted_indexes["bc_sequential"]
-        )
-        assert "bogus" in kernel_dispatch_reason(bc, bogus=1)
+        assert kernel_dispatch_reason(bc, profile=True) is None
         assert "no vectorized batch kernel" in kernel_dispatch_reason(
             fitted_indexes["linear"]
         )
@@ -479,8 +447,8 @@ class TestTreeKernelParity:
 
     def test_tree_kernel_rejects_unknown_kwargs(self, fitted_indexes,
                                                 small_queries):
-        """Unknown options decline the kernel and raise from per-query
-        search, exactly as before the kernel existed."""
+        """Unknown options raise ``TypeError`` from the kernel's own
+        signature, exactly as ``search`` does."""
         with pytest.raises(TypeError):
             fitted_indexes["kd"].batch_search(
                 small_queries, k=K, probes_per_table=3
@@ -489,6 +457,44 @@ class TestTreeKernelParity:
             fitted_indexes["ball"].batch_search(
                 small_queries, k=K, not_an_option=1
             )
+
+    @pytest.mark.parametrize("name", ["ball", "bc", "kd"])
+    @pytest.mark.parametrize(
+        "budget_kwargs", [{}, {"candidate_fraction": 0.1}]
+    )
+    def test_profiling_changes_no_answer_or_counter(
+            self, fitted_indexes, small_queries, name, budget_kwargs):
+        """``profile=True`` only reads the clock: ``search`` and
+        ``batch_search`` (inline and pooled) return the same indices,
+        distances and work counters as without it, plus non-negative
+        ``lower_bounds`` / ``verification`` stage times."""
+        index = fitted_indexes[name]
+        plain = [index.search(q, k=K, **budget_kwargs) for q in small_queries]
+        runs = [
+            [index.search(q, k=K, profile=True, **budget_kwargs)
+             for q in small_queries],
+        ] + [
+            index.batch_search(
+                small_queries, k=K, n_jobs=n_jobs, profile=True,
+                **budget_kwargs
+            )
+            for n_jobs in (1, 2)
+        ]
+        for profiled in runs:
+            assert len(profiled) == len(plain)
+            for result, expected in zip(profiled, plain):
+                np.testing.assert_array_equal(result.indices, expected.indices)
+                np.testing.assert_array_equal(
+                    result.distances, expected.distances
+                )
+                for field in self.COUNTERS:
+                    assert getattr(result.stats, field) == getattr(
+                        expected.stats, field
+                    ), field
+                stages = result.stats.stage_seconds
+                assert set(stages) == {"lower_bounds", "verification"}
+                assert all(seconds >= 0.0 for seconds in stages.values())
+        assert all(not result.stats.stage_seconds for result in plain)
 
     def test_branch_preference_override_through_kernel(self, fitted_indexes,
                                                        small_queries):

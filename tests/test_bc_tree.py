@@ -69,10 +69,6 @@ class TestConstruction:
         extra = 3 * small_clustered_data.shape[0] * 8
         assert bc.index_size_bytes() == ball.index_size_bytes() + extra
 
-    def test_invalid_scan_mode(self):
-        with pytest.raises(ValueError):
-            BCTree(scan_mode="turbo")
-
 
 class TestExactSearch:
     def test_matches_ground_truth(self, small_clustered_data, small_queries,
@@ -90,19 +86,6 @@ class TestExactSearch:
         tree = BCTree(leaf_size=40, random_state=2, **variant).fit(small_clustered_data)
         for query, truth in zip(small_queries[:5], true_distances[:5]):
             assert_matches_ground_truth(tree.search(query, k=10), truth)
-
-    def test_sequential_scan_matches_vectorized(self, small_clustered_data,
-                                                small_queries):
-        vec = BCTree(leaf_size=40, random_state=3).fit(small_clustered_data)
-        seq = BCTree(leaf_size=40, random_state=3,
-                     scan_mode="sequential").fit(small_clustered_data)
-        for query in small_queries:
-            result_vec = vec.search(query, k=10)
-            result_seq = seq.search(query, k=10)
-            np.testing.assert_allclose(
-                np.sort(result_vec.distances), np.sort(result_seq.distances),
-                atol=1e-9,
-            )
 
     def test_collaborative_ip_does_not_change_results(self, small_clustered_data,
                                                       small_queries):

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro import BallTree, BCTree, KDTree, LinearScan
-from repro.core.best_first import BestFirstSearcher
 from repro.engine import (
     BatchSearchResult,
     TraversalEngine,
@@ -55,16 +54,6 @@ class TestResolveBudget:
                 small_queries[0], k=3, candidate_fraction=0.1, max_candidates=5
             )
 
-    def test_best_first_shares_the_engine_budget(self, small_clustered_data,
-                                                 small_queries):
-        searcher = BestFirstSearcher(
-            BallTree(leaf_size=40, random_state=0).fit(small_clustered_data)
-        )
-        with pytest.raises(ValueError):
-            searcher.search(
-                small_queries[0], k=3, candidate_fraction=0.1, max_candidates=5
-            )
-
 
 class TestTraversalEngine:
     def test_engine_is_cached_and_reset_on_refit(self, small_clustered_data):
@@ -87,23 +76,6 @@ class TestTraversalEngine:
         np.testing.assert_array_equal(expected.indices, reloaded.indices)
         np.testing.assert_array_equal(expected.distances, reloaded.distances)
 
-    def test_rejects_unknown_order(self, small_clustered_data, small_queries):
-        tree = BallTree(leaf_size=40, random_state=0).fit(small_clustered_data)
-        with pytest.raises(ValueError):
-            tree._engine().search(small_queries[0] / 2, 3, order="sideways")
-
-    def test_depth_first_equals_best_first_exact(self, small_clustered_data,
-                                                 small_queries,
-                                                 match_ground_truth,
-                                                 small_ground_truth):
-        """Both frontier modes of the one engine return the exact answer."""
-        _, truth_dist = small_ground_truth
-        tree = BCTree(leaf_size=40, random_state=1).fit(small_clustered_data)
-        searcher = BestFirstSearcher(tree)
-        for query, truth in zip(small_queries, truth_dist):
-            match_ground_truth(tree.search(query, k=10), truth)
-            match_ground_truth(searcher.search(query, k=10), truth)
-
     def test_kd_engine_matches_ground_truth(self, small_clustered_data,
                                             small_queries, small_ground_truth,
                                             match_ground_truth):
@@ -113,16 +85,16 @@ class TestTraversalEngine:
             match_ground_truth(tree.search(query, k=10), truth)
 
     def test_factories_configure_leaf_scanners(self, small_clustered_data):
+        """Only BC-Tree's engine carries the point-level leaf structures
+        (pruned scan); Ball-Tree and KD-Tree leaves are scanned whole."""
         ball = BallTree(leaf_size=40, random_state=0).fit(small_clustered_data)
         bc = BCTree(leaf_size=40, random_state=0).fit(small_clustered_data)
-        seq = BCTree(leaf_size=40, random_state=0,
-                     scan_mode="sequential").fit(small_clustered_data)
-        assert ball._engine()._pick_scanner() == ball._engine()._scan_exhaustive
-        assert bc._engine()._pick_scanner() == bc._engine()._scan_pruned
-        assert (
-            seq._engine()._pick_scanner()
-            == seq._engine()._scan_pruned_sequential
-        )
+        kd = KDTree(leaf_size=40).fit(small_clustered_data)
+        assert ball._engine()._leaf is None
+        assert kd._engine()._leaf is None
+        leaf = bc._engine()._leaf
+        assert leaf is not None
+        assert leaf.use_ball_bound and leaf.use_cone_bound
 
 
 class TestBatchSearchResult:

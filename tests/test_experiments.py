@@ -7,6 +7,7 @@ import pytest
 from repro.eval.experiments import (
     EXPERIMENTS,
     ExperimentConfig,
+    run_batch,
     run_experiment,
     run_fig8,
     run_fig11,
@@ -95,6 +96,24 @@ class TestFigureDrivers:
         )
         shard_counts = {record["num_partitions"] for record in output.records}
         assert 1 in shard_counts and 4 in shard_counts
+
+    def test_batch_path_column_names_each_dispatch(self):
+        """``exact=False`` tree rows report the fast GEMM kernel, the other
+        tree rows the block kernel, and the linear scan runs per query."""
+        records = run_batch(TINY).records
+        paths = {
+            (record["method"], record["budget"]): record["path"]
+            for record in records
+        }
+        assert paths[("BC-Tree", "fast")] == "fast-gemm"
+        assert paths[("BC-Tree", "exact")] == "kernel"
+        assert paths[("BC-Tree", "cf=0.1")] == "kernel"
+        assert paths[("Linear", "exact")] == "per-query"
+        assert all(
+            record["why_per_query"] == ""
+            for record in records
+            if record["path"] != "per-query"
+        )
 
     def test_output_columns_subset_of_record_keys(self):
         for output in (run_table2(TINY), run_fig8(TINY)):

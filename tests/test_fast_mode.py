@@ -146,18 +146,7 @@ class TestDispatchPath:
             kernel_dispatch_path(index, exact=False, candidate_fraction=0.2)
             == "fast-gemm"
         )
-        assert kernel_dispatch_path(index, profile=True) == "per-query"
-
-    def test_sequential_scan_mode_goes_fast(self):
-        points = _clustered(200)
-        index = BCTree(
-            leaf_size=32, random_state=0, scan_mode="sequential"
-        ).fit(points)
-        # Exact sequential-scan mode must run per-query (it tightens the
-        # threshold inside each leaf), but the fast mode never evaluates
-        # point-level bounds, so it takes the GEMM kernel.
-        assert kernel_dispatch_path(index) == "per-query"
-        assert kernel_dispatch_path(index, exact=False) == "fast-gemm"
+        assert kernel_dispatch_path(index, profile=True) == "kernel"
 
     def test_non_tree_indexes_reject_fast_mode(self):
         points = _clustered(200)
@@ -319,16 +308,6 @@ class TestFastRecall:
         for fast_r, exact_r in zip(batch, exact_batch):
             assert len(fast_r.indices) <= len(exact_r.indices)
             assert np.all(np.diff(fast_r.distances) >= -1e-12)
-
-    def test_sequential_scan_mode_runs_fast_kernel(self):
-        points = _clustered(500)
-        queries = _queries(points, 16)
-        index = BCTree(
-            leaf_size=32, random_state=0, scan_mode="sequential"
-        ).fit(points)
-        exact_batch = index.batch_search(queries, k=8)
-        fast_batch = index.batch_search(queries, k=8, exact=False)
-        _assert_fast_matches_oracle(exact_batch, fast_batch, index)
 
 
 # ------------------------------------------- exact-path bit-identity guard

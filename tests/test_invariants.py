@@ -145,8 +145,7 @@ class TestStatsConsistency:
         """Within BC-Tree leaves, every point is verified, ball-pruned, or
         cone-pruned — nothing is silently dropped — for exact search."""
         points, query = _random_workload(seed, 120, 6)
-        tree = BCTree(leaf_size=15, random_state=seed,
-                      scan_mode="sequential").fit(points)
+        tree = BCTree(leaf_size=15, random_state=seed).fit(points)
         result = tree.search(query, k=5)
         stats = result.stats
         # Leaves that were scanned own at most leaf_size points each; all of
@@ -157,6 +156,7 @@ class TestStatsConsistency:
             + stats.points_pruned_cone
         )
         assert accounted <= 120
+        assert stats.leaves_scanned <= accounted <= 15 * stats.leaves_scanned
         assert stats.candidates_verified >= len(result)
 
     @settings(max_examples=15, deadline=None)
